@@ -4,8 +4,9 @@ Not a paper figure — the engineering benchmark behind the
 :mod:`repro.runtime` subsystem.  It builds the full four-family
 performance-map grid twice:
 
-* **sequential** — the reference serial loop of
-  :func:`build_performance_map`, family by family;
+* **sequential** — the tests' oracle loop (``tests/oracle.py``): a
+  fresh fit per window length and a plain ``score_injected`` per cell,
+  family by family;
 * **engine** — one :class:`SweepEngine` sweep (``max_workers=4``) with
   the shared :class:`WindowCache` and unique-window memoized scoring.
 
@@ -32,7 +33,6 @@ from _artifacts import (
 
 from repro.detectors.base import AnomalyDetector
 from repro.detectors.registry import create_detector
-from repro.evaluation.performance_map import build_performance_map
 from repro.runtime import (
     AUTOMATON_MAX_ORDER,
     ArtifactStore,
@@ -46,6 +46,7 @@ from repro.runtime import (
     sorted_membership,
 )
 from repro.sequences.windows import windows_array
+from tests.oracle import oracle_map
 
 FAMILIES = ("stide", "t-stide", "markov", "lane-brodley")
 MEMBERSHIP_FAMILIES = ("stide", "t-stide")
@@ -88,9 +89,7 @@ def _identical(serial_maps, engine_maps, suite) -> int:
 
 def test_sweep_engine_speedup(suite):
     start = time.perf_counter()
-    serial_maps = {
-        name: build_performance_map(name, suite) for name in FAMILIES
-    }
+    serial_maps = {name: oracle_map(name, suite) for name in FAMILIES}
     sequential_seconds = time.perf_counter() - start
 
     engine = SweepEngine(max_workers=MAX_WORKERS)

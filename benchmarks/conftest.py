@@ -14,8 +14,15 @@ EXPERIMENTS.md can be assembled from actual runs.
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
+
+# bench_sweep times the test suite's oracle loop (tests/oracle.py) as its
+# sequential baseline, so the repository root must be importable even
+# under a bare ``pytest benchmarks/``.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from repro.datagen.suite import EvaluationSuite, build_suite
 from repro.datagen.training import TrainingData, generate_training_data

@@ -74,16 +74,16 @@ def _jobs_argument(parser: argparse.ArgumentParser) -> None:
         type=_positive_int,
         default=1,
         metavar="N",
-        help="worker count for the sweep engine (1 = serial reference "
-        "path; results are identical either way)",
+        help="worker count for the sweep engine (1 runs serially; "
+        "results are identical for every count)",
     )
     parser.add_argument(
         "--executor",
         choices=("thread", "process", "serial"),
         default=None,
         help="sweep backend (default: serial for --jobs 1, thread "
-        "otherwise); the process backend ships suites over "
-        "shared memory when available",
+        "otherwise; results are identical for every backend); the "
+        "process backend ships suites over shared memory when available",
     )
     parser.add_argument(
         "--no-shm",
@@ -165,9 +165,9 @@ def _telemetry(args: argparse.Namespace) -> "object | None":
     return Telemetry(profile_dir=profile)
 
 
-def _emit_telemetry(args: argparse.Namespace, engine: "object | None") -> None:
+def _emit_telemetry(args: argparse.Namespace, engine: "object") -> None:
     """Write/print the artifacts the observability flags asked for."""
-    _emit_collector(args, getattr(engine, "telemetry", None))
+    _emit_collector(args, engine.telemetry)
 
 
 def _emit_collector(args: argparse.Namespace, collector: "object | None") -> None:
@@ -270,52 +270,55 @@ def _checkpoint_paths(
     return checkpoint, resume
 
 
-def _engine(args: argparse.Namespace) -> "object | None":
-    """A SweepEngine honoring ``--jobs`` and the resilience flags.
+def _check_detectors(names: Sequence[str]) -> None:
+    """Reject unknown or repeated ``--detectors`` before any corpus is built."""
+    unknown = [name for name in names if name not in available_detectors()]
+    if unknown:
+        raise ReproError(
+            f"unknown detectors: {', '.join(unknown)}; "
+            f"available: {', '.join(available_detectors())}"
+        )
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ReproError(f"duplicate detectors: {', '.join(repeated)}")
 
-    ``None`` (the serial reference path) when neither parallelism nor
-    resilience was requested.
+
+def _engine(args: argparse.Namespace) -> "object":
+    """The SweepEngine a sweep command runs through.
+
+    Honors ``--jobs``/``--executor``, the store, telemetry, transport,
+    kernel-tier and resilience flags; with none of them it is a plain
+    serial engine.  ``--store`` runs warm-start iterative fits unless
+    ``--no-warm-start`` is given.
     """
-    jobs = getattr(args, "jobs", 1) or 1
-    executor = getattr(args, "executor", None)
-    store_dir = getattr(args, "store", None)
+    from repro.runtime import ResiliencePolicy
+    from repro.runtime.engine import resolve_engine
+
     wants_resilience = (
         getattr(args, "retries", None) is not None
         or getattr(args, "task_timeout", None) is not None
         or getattr(args, "checkpoint", None) is not None
         or getattr(args, "resume", None) is not None
     )
-    telemetry = _telemetry(args)
-    kernel_tier = getattr(args, "kernel_tier", None)
-    if (
-        jobs <= 1
-        and executor is None
-        and not wants_resilience
-        and store_dir is None
-        and telemetry is None
-        and kernel_tier is None
-    ):
-        return None
-    from repro.runtime import ResiliencePolicy, SweepEngine
-
     resilience = ResiliencePolicy.from_args(args)
     if resilience is None and wants_resilience:
         resilience = ResiliencePolicy()
-    if executor is None:
-        executor = "serial" if jobs <= 1 else "thread"
     store = None
+    store_dir = getattr(args, "store", None)
     if store_dir is not None:
         from repro.runtime.store import ArtifactStore
 
         store = ArtifactStore(store_dir, cap_bytes=getattr(args, "store_cap", None))
-    return SweepEngine(
-        max_workers=jobs,
-        executor=executor,
+    kernel_tier = getattr(args, "kernel_tier", None)
+    return resolve_engine(
+        max_workers=getattr(args, "jobs", 1),
+        executor=getattr(args, "executor", None),
+        store=store,
+        warm_start=store is not None
+        and not getattr(args, "no_warm_start", False),
+        telemetry=_telemetry(args),
         resilience=resilience,
         use_shared_memory=not getattr(args, "no_shm", False),
-        store=store,
-        warm_start=False if getattr(args, "no_warm_start", False) else None,
-        telemetry=telemetry,
         kernel_tier=kernel_tier if kernel_tier is not None else "auto",
     )
 
@@ -331,12 +334,7 @@ def _cmd_maps(args: argparse.Namespace) -> int:
     if getattr(args, "quick", False) and stream_len is None:
         stream_len = _QUICK_STREAM_LENGTH
     detectors = args.detectors or list(DEFAULT_DETECTORS)
-    unknown = [name for name in detectors if name not in available_detectors()]
-    if unknown:
-        raise ReproError(
-            f"unknown detectors: {', '.join(unknown)}; "
-            f"available: {', '.join(available_detectors())}"
-        )
+    _check_detectors(detectors)
     checkpoint, resume_from = _checkpoint_paths(args)
     engine = _engine(args)
     # Thin wrapper over a compiled one-stage plan: the CLI and a plan
@@ -372,7 +370,7 @@ def _cmd_maps(args: argparse.Namespace) -> int:
     print(result.summary())
     if result.run_report is not None:
         print(result.run_report.summary())
-    elif getattr(engine, "store", None) is not None:
+    elif engine.store is not None:
         stats = engine.last_fit_stats
         print(
             f"fits: {stats.computed} computed / {stats.from_store} from "
@@ -493,18 +491,13 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
     from repro.evaluation.performance_map import build_performance_map
     from repro.evaluation.render import render_map_summary
 
-    params = scaled_params(args.stream_len, seed=args.seed)
-    training = generate_training_data(params)
-    suite = build_suite(training=training)
     names = args.detectors or [
         name for name in available_detectors() if name != "neural-network"
     ]
-    unknown = [name for name in names if name not in available_detectors()]
-    if unknown:
-        raise ReproError(
-            f"unknown detectors: {', '.join(unknown)}; "
-            f"available: {', '.join(available_detectors())}"
-        )
+    _check_detectors(names)
+    params = scaled_params(args.stream_len, seed=args.seed)
+    training = generate_training_data(params)
+    suite = build_suite(training=training)
     engine = _engine(args)
     checkpoint, resume_from = _checkpoint_paths(args)
     maps = {
@@ -550,6 +543,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         response_profile,
     )
 
+    detectors = args.detectors or ["stide", "markov", "lane-brodley"]
+    _check_detectors(detectors)
     params = scaled_params(args.stream_len, seed=args.seed)
     training = generate_training_data(params)
     suite = build_suite(training=training)
@@ -559,13 +554,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             f"{suite.anomaly_sizes}"
         )
     injected = suite.stream(args.size)
-    detectors = args.detectors or ["stide", "markov", "lane-brodley"]
-    unknown = [name for name in detectors if name not in available_detectors()]
-    if unknown:
-        raise ReproError(
-            f"unknown detectors: {', '.join(unknown)}; "
-            f"available: {', '.join(available_detectors())}"
-        )
     profiles = []
     for name in detectors:
         detector = create_detector(name, args.window, params.alphabet_size)
@@ -585,10 +573,11 @@ def _cmd_select(args: argparse.Namespace) -> int:
     from repro.ensemble import AnomalyProfile, Coverage, select_detectors
     from repro.evaluation.performance_map import build_performance_map
 
+    candidates = args.detectors or ["stide", "markov", "lane-brodley"]
+    _check_detectors(candidates)
     params = scaled_params(args.stream_len, seed=args.seed)
     training = generate_training_data(params)
     suite = build_suite(training=training)
-    candidates = args.detectors or ["stide", "markov", "lane-brodley"]
     engine = _engine(args)
     checkpoint, resume_from = _checkpoint_paths(args)
     coverages = {

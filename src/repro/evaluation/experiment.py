@@ -13,7 +13,12 @@ from dataclasses import dataclass, field
 
 from repro.datagen.suite import EvaluationSuite, build_suite
 from repro.datagen.training import TrainingData
-from repro.evaluation.performance_map import PerformanceMap, build_performance_map
+# build_performance_map is re-exported: it is part of this module's
+# public surface even though the sweep below runs on the engine.
+from repro.evaluation.performance_map import (  # noqa: F401
+    PerformanceMap,
+    build_performance_map,
+)
 from repro.evaluation.render import render_map_summary, render_performance_map
 from repro.exceptions import EvaluationError
 from repro.params import PaperParams
@@ -28,7 +33,7 @@ class ExperimentResult:
         maps: one performance map per detector family, keyed by name.
         run_report: the sweep's :class:`~repro.runtime.resilience.RunReport`
             when the experiment ran through a resilient engine sweep
-            (``None`` on the plain serial/fast paths).
+            (``None`` otherwise).
     """
 
     suite: EvaluationSuite
@@ -87,32 +92,37 @@ def run_paper_experiment(
 ) -> ExperimentResult:
     """Run the paper's evaluation end to end.
 
+    Every family is swept through one :class:`repro.runtime.SweepEngine`
+    (built by :func:`repro.runtime.engine.resolve_engine` when none is
+    given), so the families share one window cache and training index.
+
     Args:
         params: corpus parameters (used only when no suite is given).
         suite: a pre-built evaluation corpus.
         training: pre-built training data (used only when no suite is
             given).
-        detectors: registered detector names to sweep.
-        engine: a :class:`repro.runtime.SweepEngine`; all families are
-            swept concurrently through it (results are bit-identical
-            to the serial path).
-        max_workers: shorthand for ``engine=SweepEngine(max_workers=...)``
-            when > 1 and no engine is given.
+        detectors: registered detector names to sweep; each at most
+            once.
+        engine: the :class:`repro.runtime.SweepEngine` to sweep
+            through; a serial one is built when omitted.
+        max_workers: worker count of the engine built when none is
+            given (thread backend when > 1); maps are bit-identical
+            for every worker count.
         checkpoint: JSONL checkpoint file completed cells stream to.
         resume_from: checkpoint file whose cells are adopted instead of
             recomputed (bit-identically).
         store: a persistent :class:`~repro.runtime.store.ArtifactStore`
-            (or its directory path) backing every fit; a warm re-run
-            of the same corpus performs zero fits.  Ignored when an
-            ``engine`` is given (the engine's own store governs).
-        warm_start: forwarded to the engine the ``max_workers``/
-            ``store`` shorthand creates; ``None`` auto-enables warm
-            starting exactly when a store is attached.
+            (or its directory path) backing every fit of the engine
+            built when none is given; a warm re-run of the same corpus
+            performs zero fits.  Ignored when an ``engine`` is given
+            (the engine's own store governs).
+        warm_start: ``True`` lets the built engine warm-start
+            iterative fits from adjacent window lengths; otherwise
+            fits stay cold and the maps are identical with or without
+            a store or telemetry.
         telemetry: a :class:`~repro.runtime.telemetry.Telemetry`
-            collector.  With no ``engine`` given the experiment runs
-            through a serial :class:`~repro.runtime.SweepEngine`
-            carrying it; a given engine without its own collector
-            adopts this one.
+            collector for the engine's spans and counters; a given
+            engine without its own collector adopts this one.
 
     Returns:
         Maps for every requested detector over the full case grid,
@@ -123,47 +133,24 @@ def run_paper_experiment(
     names = list(detectors)
     if not names:
         raise EvaluationError("at least one detector is required")
-    if engine is None and max_workers is not None and max_workers > 1:
-        from repro.runtime import SweepEngine
+    from repro.runtime.engine import resolve_engine
 
-        engine = SweepEngine(
-            max_workers=max_workers,
-            store=store,
-            warm_start=warm_start,
-            telemetry=telemetry,
-        )
-    elif engine is None and telemetry is not None:
-        from repro.runtime import SweepEngine
-
-        engine = SweepEngine(
-            executor="serial",
-            store=store,
-            warm_start=warm_start,
-            telemetry=telemetry,
-        )
+    engine = resolve_engine(
+        engine,
+        max_workers=max_workers,
+        store=store,
+        warm_start=warm_start,
+        telemetry=telemetry,
+    )
     run_report = None
-    if engine is not None:
-        if telemetry is not None and getattr(engine, "telemetry", None) is None:
-            engine.attach_telemetry(telemetry)
-        if (
-            getattr(engine, "resilience", None) is not None
-            or checkpoint is not None
-            or resume_from is not None
-        ):
-            maps, run_report = engine.sweep_with_report(
-                names, suite, checkpoint=checkpoint, resume_from=resume_from
-            )
-        else:
-            maps = engine.sweep(names, suite)
+    if (
+        engine.resilience is not None
+        or checkpoint is not None
+        or resume_from is not None
+    ):
+        maps, run_report = engine.sweep_with_report(
+            names, suite, checkpoint=checkpoint, resume_from=resume_from
+        )
     else:
-        maps = {
-            name: build_performance_map(
-                name,
-                suite,
-                checkpoint=checkpoint,
-                resume_from=resume_from,
-                store=store,
-            )
-            for name in names
-        }
+        maps = engine.sweep(names, suite)
     return ExperimentResult(suite=suite, maps=maps, run_report=run_report)

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 from repro.datagen.suite import EvaluationSuite
 from repro.detectors.base import AnomalyDetector
-from repro.detectors.registry import create_detector
-from repro.evaluation.scoring import DetectionOutcome, ResponseClass, score_injected
+from repro.evaluation.scoring import DetectionOutcome, ResponseClass
 from repro.exceptions import EvaluationError
 
 Cell = tuple[int, int]  # (anomaly_size, window_length)
@@ -150,17 +149,19 @@ def build_performance_map(
     For each window length a fresh detector is constructed and fitted
     once on the training stream, then deployed on every injected test
     stream — the paper's replication of the 8 test streams across the
-    14 window lengths.
+    14 window lengths.  The grid runs through a
+    :class:`repro.runtime.SweepEngine`; when none is given,
+    :func:`repro.runtime.engine.resolve_engine` builds one.
 
     Args:
         detector: a registered detector name, or a factory mapping a
             window length to an (unfitted) detector instance.
         suite: the evaluation corpus.
-        engine: a :class:`repro.runtime.SweepEngine` to run the grid
-            through; the serial reference loop runs when omitted.
-        max_workers: shorthand for ``engine=SweepEngine(max_workers=...)``
-            when > 1 and no engine is given.  The engine's maps are
-            bit-identical to the serial loop's.
+        engine: the :class:`repro.runtime.SweepEngine` to run the grid
+            through; a serial one is built when omitted.
+        max_workers: worker count of the engine built when none is
+            given (thread backend when > 1).  Maps are bit-identical
+            for every worker count.
         checkpoint: JSONL file (see :mod:`repro.io`) to stream each
             completed cell to, so an interrupted build loses at most
             the block in flight.
@@ -168,101 +169,31 @@ def build_performance_map(
             killed) run; its cells are adopted instead of recomputed,
             bit-identically, and only the missing cells are evaluated.
         store: a persistent :class:`~repro.runtime.store.ArtifactStore`
-            (or its directory path): every fit is looked up by content
-            address before training and written back on a miss, so a
-            warm re-run performs zero fits.  Ignored when an ``engine``
-            is given — the engine's own store governs.  On the serial
-            reference loop the store is lookup/write-back only (no
-            warm starting), preserving bit-reproducibility.
+            (or its directory path) for the engine built when none is
+            given: every fit is looked up by content address before
+            training and written back on a miss, so a warm re-run
+            performs zero fits.  Fits stay cold (no warm starting), so
+            the map is bit-identical with or without a store.  Ignored
+            when an ``engine`` is given — the engine's own store
+            governs.
         telemetry: a :class:`~repro.runtime.telemetry.Telemetry`
-            collector.  With no ``engine`` given the build runs
-            through a serial :class:`~repro.runtime.SweepEngine`
-            carrying it (bit-identical cells, fully instrumented); a
-            given engine without its own collector adopts this one.
+            collector for the engine's spans and counters; a given
+            engine without its own collector adopts this one.
         **detector_kwargs: forwarded to the registry when ``detector``
             is a name (ignored for factories).
 
     Returns:
         The full-grid performance map.
     """
-    if store is not None and not hasattr(store, "get"):
-        from repro.runtime.store import ArtifactStore
+    from repro.runtime.engine import resolve_engine
 
-        store = ArtifactStore(store)
-    if engine is None and max_workers is not None and max_workers > 1:
-        from repro.runtime import SweepEngine
-
-        engine = SweepEngine(
-            max_workers=max_workers, store=store, telemetry=telemetry
-        )
-    elif engine is None and telemetry is not None:
-        from repro.runtime import SweepEngine
-
-        # The serial engine is the instrumented twin of the reference
-        # loop below: bit-identical cells, plus spans and counters.
-        engine = SweepEngine(
-            executor="serial", store=store, warm_start=False, telemetry=telemetry
-        )
-    if engine is not None:
-        if telemetry is not None and getattr(engine, "telemetry", None) is None:
-            engine.attach_telemetry(telemetry)
-        return engine.build_map(
-            detector,
-            suite,
-            checkpoint=checkpoint,
-            resume_from=resume_from,
-            **detector_kwargs,
-        )
-    alphabet_size = suite.training.alphabet.size
-    if isinstance(detector, str):
-        name = detector
-
-        def factory(window_length: int) -> AnomalyDetector:
-            return create_detector(
-                name, window_length, alphabet_size, **detector_kwargs
-            )
-
-    else:
-        factory = detector
-        name = factory(min(suite.window_lengths)).name
-    cells: dict[Cell, CellResult] = {}
-    if resume_from is not None:
-        from repro.io import checkpoint_load
-
-        # A kill can truncate the final line mid-write; tolerate it —
-        # the affected cells are simply recomputed.
-        loaded = checkpoint_load(resume_from, strict=False).get(name, {})
-        sizes = set(suite.anomaly_sizes)
-        windows = set(suite.window_lengths)
-        cells = {
-            cell: result
-            for cell, result in loaded.items()
-            if cell[0] in sizes and cell[1] in windows
-        }
-    for window_length in suite.window_lengths:
-        missing = [
-            anomaly_size
-            for anomaly_size in suite.anomaly_sizes
-            if (anomaly_size, window_length) not in cells
-        ]
-        if not missing:
-            continue  # the checkpoint covers this whole column
-        fresh_detector = factory(window_length)
-        if store is not None:
-            fresh_detector.attach_store(store)
-        fitted = fresh_detector.fit(suite.training.stream)
-        fresh = []
-        for anomaly_size in missing:
-            outcome = score_injected(fitted, suite.stream(anomaly_size))
-            result = CellResult(
-                anomaly_size=anomaly_size,
-                window_length=window_length,
-                outcome=outcome,
-            )
-            cells[(anomaly_size, window_length)] = result
-            fresh.append(result)
-        if checkpoint is not None:
-            from repro.io import checkpoint_append
-
-            checkpoint_append(checkpoint, name, fresh)
-    return PerformanceMap(detector_name=name, cells=cells)
+    engine = resolve_engine(
+        engine, max_workers=max_workers, store=store, telemetry=telemetry
+    )
+    return engine.build_map(
+        detector,
+        suite,
+        checkpoint=checkpoint,
+        resume_from=resume_from,
+        **detector_kwargs,
+    )

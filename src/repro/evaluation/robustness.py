@@ -120,19 +120,20 @@ def replicate_shapes(
         detectors: detector name -> shape predicate; defaults to the
             four paper figures.
         stream_length: test-stream length per injected case.
-        engine: a :class:`repro.runtime.SweepEngine` to build each
-            replication's maps through (serial reference loop when
-            omitted).
+        engine: the :class:`repro.runtime.SweepEngine` every
+            replication's maps are built through; when omitted one
+            serial engine is built for the whole campaign, so the
+            families of a seed share its window cache.
         checkpoint_dir: directory for per-seed checkpoint files
             (``replication-seed<seed>.jsonl``).  Completed cells are
             streamed there, and a re-run of an interrupted replication
             campaign resumes each seed from its own checkpoint —
             bit-identically — instead of recomputing finished maps.
         store: a persistent :class:`~repro.runtime.store.ArtifactStore`
-            (or its directory path) for the serial path: replication
-            campaigns re-fit identical (stream, config) pairs across
-            invocations, which the store collapses to one fit ever.
-            Ignored when an ``engine`` is given.
+            (or its directory path) for the engine built when none is
+            given: replication campaigns re-fit identical (stream,
+            config) pairs across invocations, which the store collapses
+            to one fit ever.  Ignored when an ``engine`` is given.
 
     Raises:
         EvaluationError: on an empty seed list.
@@ -141,6 +142,9 @@ def replicate_shapes(
     if not seed_list:
         raise EvaluationError("at least one seed is required")
     predicates = detectors or PAPER_SHAPES
+    from repro.runtime.engine import resolve_engine
+
+    engine = resolve_engine(engine, store=store)
     outcomes = []
     for seed in seed_list:
         params = base_params.with_seed(seed)
@@ -158,7 +162,6 @@ def replicate_shapes(
                     engine=engine,
                     checkpoint=checkpoint,
                     resume_from=resume_from,
-                    store=store,
                 )
             )
             for name, predicate in predicates.items()
@@ -170,12 +173,11 @@ def replicate_shapes(
                 shape_held=shape_held,
             )
         )
-        cache = getattr(engine, "window_cache", None)
-        if cache is not None:
-            # Each seed's corpus is dead after its verdict; without
-            # this, an engine-backed campaign pins every corpus it has
-            # ever swept (the identity-keying footgun).
-            cache.release_stream(suite.training.stream)
-            for anomaly_size in suite.anomaly_sizes:
-                cache.release_stream(suite.stream(anomaly_size).stream)
+        # Each seed's corpus is dead after its verdict; without this,
+        # the campaign's engine pins every corpus it has ever swept
+        # (the identity-keying footgun).
+        cache = engine.window_cache
+        cache.release_stream(suite.training.stream)
+        for anomaly_size in suite.anomaly_sizes:
+            cache.release_stream(suite.stream(anomaly_size).stream)
     return RobustnessReport(outcomes=tuple(outcomes))

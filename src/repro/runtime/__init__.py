@@ -16,9 +16,11 @@ production runtime for that sweep:
   match-length profile that answers Stide/t-Stide membership for every
   DW at once (the ``--kernel-tier`` dispatcher);
 * :class:`SweepEngine` — evaluates one or many families over the grid
-  concurrently (thread-, process-, or serial-backed) with
-  unique-window memoized scoring for the expensive detectors, while
-  producing maps bit-identical to the sequential path;
+  (serial-, thread-, or process-backed) with unique-window memoized
+  scoring for the expensive detectors, producing maps bit-identical
+  across backends; every sweep entry point runs through one, built by
+  :func:`~repro.runtime.engine.resolve_engine` when the caller passes
+  none;
 * :class:`WindowArena` — zero-copy ``multiprocessing.shared_memory``
   transport: the suite's streams are materialized once, process
   workers attach by segment name, and sweep tasks ship only
@@ -78,6 +80,7 @@ _EXPORTS: dict[str, str] = {
     "MEMOIZED_FAMILIES": "repro.runtime.engine",
     "SweepEngine": "repro.runtime.engine",
     "evaluate_window_block": "repro.runtime.engine",
+    "resolve_engine": "repro.runtime.engine",
     "ArrayDescriptor": "repro.runtime.arena",
     "SharedSuite": "repro.runtime.arena",
     "SharedTable": "repro.runtime.arena",

@@ -1,10 +1,10 @@
 """Concurrent sweep evaluation of detector families over the suite grid.
 
 The performance maps of Figures 3-6 require fitting and scoring every
-detector family at every (anomaly size x window length) cell.  The
-serial path re-derives the same sliding windows for every family and
-re-scores the same repetitive test windows at every cell;
-:class:`SweepEngine` removes both redundancies and runs the remaining
+detector family at every (anomaly size x window length) cell.  A plain
+fit-and-score loop re-derives the same sliding windows for every family
+and re-scores the same repetitive test windows at every cell;
+:class:`SweepEngine` removes both redundancies and can run the remaining
 work concurrently:
 
 * **work unit** — one (family, window length) block: a single fit on
@@ -31,13 +31,15 @@ work concurrently:
   resilient scheduler's last rung is serial in-process execution:
   ``shm -> pickle -> serial``.
 
-Every cell is computed by the same deterministic, side-effect-free
-rule as the serial loop in
-:func:`repro.evaluation.performance_map.build_performance_map`, and
-cells are assembled into the map by grid position rather than
-completion order — the resulting maps are bit-identical to the
-sequential path regardless of worker count or executor backend
-(``benchmarks/bench_sweep.py`` verifies this cell for cell).
+Every cell is computed by one deterministic, side-effect-free rule —
+fit the family at the window length, then score each injected stream —
+and cells are assembled into the map by grid position rather than
+completion order, so the maps are bit-identical regardless of worker
+count or executor backend.  :func:`resolve_engine` builds the serial
+engine every sweep entry point uses when the caller passes none.  The
+test suite's plain fit-and-score loop (``tests/oracle.py``) is the
+oracle the engine's maps are checked against cell for cell
+(``tests/runtime/test_sweep_engine.py``, ``benchmarks/bench_sweep.py``).
 """
 
 from __future__ import annotations
@@ -329,8 +331,8 @@ class SweepEngine:
             GIL, and the window cache is shared across workers),
             ``"process"`` (isolated workers; registered detector names
             only, each worker builds its own cache), or ``"serial"``
-            (inline execution in deterministic submission order, for
-            debugging and as the reference path).
+            (inline execution in deterministic submission order; the
+            default of :func:`resolve_engine`).
         memoized_detectors: family names scored via unique-window
             memoization; defaults to :data:`MEMOIZED_FAMILIES`.
         window_cache: a pre-populated cache to share; a fresh one is
@@ -354,13 +356,11 @@ class SweepEngine:
             work and written back on a miss, so re-runs skip fitting
             entirely.  ``None`` (the default) disables persistence.
         warm_start: whether iterative detectors may warm-start from
-            adjacent-DW donors.  ``None`` (the default) auto-enables
-            exactly when a store is attached: warm starting trades
-            bit-reproducibility for speed, so it stays off unless the
-            caller already opted into the persistent-fit machinery;
-            pass ``False`` (the ``--no-warm-start`` escape hatch) to
-            keep store-backed runs bit-reproducible, or ``True`` to
-            force it on without a store.
+            adjacent-DW donors.  Warm starting trades
+            bit-reproducibility for speed, so it is off unless the
+            caller passes ``True`` (the CLI does for ``--store`` runs
+            without ``--no-warm-start``); a store or telemetry alone
+            never changes a map.
         warm_policy: the gate parameters for warm-started fits;
             defaults to :class:`~repro.runtime.fitindex.WarmStartPolicy`.
         telemetry: a :class:`~repro.runtime.telemetry.Telemetry`
@@ -396,7 +396,7 @@ class SweepEngine:
         resilience: ResiliencePolicy | None = None,
         use_shared_memory: bool = True,
         store: ArtifactStore | str | Path | None = None,
-        warm_start: bool | None = None,
+        warm_start: bool = False,
         warm_policy: WarmStartPolicy | None = None,
         telemetry: Telemetry | None = None,
         kernel_tier: str = TIER_AUTO,
@@ -421,9 +421,10 @@ class SweepEngine:
         self._store = (
             ArtifactStore(store) if isinstance(store, (str, Path)) else store
         )
-        warm = (self._store is not None) if warm_start is None else bool(warm_start)
-        self._warm_policy = (warm_policy or WarmStartPolicy()) if warm else None
-        self._warm_registry = WarmStartRegistry() if warm else None
+        self._warm_policy = (
+            (warm_policy or WarmStartPolicy()) if warm_start else None
+        )
+        self._warm_registry = WarmStartRegistry() if warm_start else None
         self._ledger: FitLedger | None = None
         self._last_fit_stats = FitStats()
         self._telemetry = telemetry
@@ -609,9 +610,7 @@ class SweepEngine:
 
         Returns:
             One full-grid map per family, keyed by name, in input
-            order; bit-identical to the serial
-            :func:`~repro.evaluation.performance_map.build_performance_map`
-            output.
+            order; bit-identical across worker counts and backends.
         """
         if (
             self._resilience is not None
@@ -1125,3 +1124,53 @@ class SweepEngine:
                 else None
             ),
         )
+
+
+def resolve_engine(
+    engine: SweepEngine | None = None,
+    max_workers: int | None = None,
+    executor: str | None = None,
+    store: ArtifactStore | str | Path | None = None,
+    warm_start: bool | None = None,
+    telemetry: Telemetry | None = None,
+    **options: object,
+) -> SweepEngine:
+    """The engine a sweep runs through: the caller's, or a fresh one.
+
+    Every sweep entry point (:func:`~repro.evaluation.performance_map.build_performance_map`,
+    :func:`~repro.evaluation.experiment.run_paper_experiment`,
+    :func:`~repro.evaluation.robustness.replicate_shapes`, the plan
+    runner and the CLI) asks this function for its engine, so one rule
+    decides the default everywhere.
+
+    Args:
+        engine: a caller-built engine, returned as is; it adopts
+            ``telemetry`` when it carries no collector of its own, and
+            every other argument is ignored (its own settings govern).
+        max_workers: worker count for the built engine; one (the
+            default) runs the blocks inline.
+        executor: backend for the built engine; defaults to
+            ``"serial"`` for one worker and ``"thread"`` otherwise.
+        store: persistent artifact store (or directory) backing every
+            fit of the built engine.
+        warm_start: warm-start iterative fits from adjacent window
+            lengths; ``None`` means ``False``, so a built engine is
+            bit-reproducible unless the caller opts in.
+        telemetry: collector for the engine's spans and counters.
+        **options: further :class:`SweepEngine` arguments for the built
+            engine (``resilience``, ``use_shared_memory``,
+            ``kernel_tier``).
+    """
+    if engine is not None:
+        if telemetry is not None and engine.telemetry is None:
+            engine.attach_telemetry(telemetry)
+        return engine
+    workers = max_workers or 1
+    return SweepEngine(
+        max_workers=workers,
+        executor=executor or ("serial" if workers == 1 else "thread"),
+        store=store,
+        warm_start=bool(warm_start),
+        telemetry=telemetry,
+        **options,
+    )

@@ -39,7 +39,6 @@ import multiprocessing
 import os
 import random
 import time
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -202,21 +201,3 @@ def corrupt_block(results: list) -> list:
     """
     return results[:-1]
 
-
-def wrap_factory(
-    factory: Callable[[int], object], schedule: FaultSchedule
-) -> Callable[[int], object]:
-    """Wrap a detector factory to fault at construction time.
-
-    The returned factory consults ``schedule`` under the key
-    ``factory:<window_length>`` (attempt 1) before delegating — a
-    convenient way to break the *serial reference loop* of
-    :func:`~repro.evaluation.performance_map.build_performance_map`,
-    which never goes through the sweep engine's task wrapper.
-    """
-
-    def faulty(window_length: int) -> object:
-        apply_fault(schedule, f"factory:{window_length}", 1)
-        return factory(window_length)
-
-    return faulty

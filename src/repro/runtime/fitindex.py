@@ -52,6 +52,16 @@ from repro.runtime import telemetry
 from repro.sequences.windows import windows_array
 
 
+def _inverse_dtype(window_count: int) -> type:
+    """The narrowest of int32/int64 that holds every group id.
+
+    A group id is below the window count, and the index keeps one
+    inverse per order, so int32 halves the index's largest arrays
+    whenever the stream fits.
+    """
+    return np.int32 if window_count <= np.iinfo(np.int32).max else np.int64
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """One order's unique-window decomposition of a stream.
@@ -59,7 +69,8 @@ class Decomposition:
     ``rows[inverse]`` reconstructs the full window sequence;
     ``counts[g]`` is the number of windows in group ``g``; ``first[g]``
     is the start position of group ``g``'s first occurrence.  Rows are
-    in lexicographic order, exactly as ``np.unique(view, axis=0)``.
+    in lexicographic order, exactly as ``np.unique(view, axis=0)``;
+    ``inverse`` holds the same values in int32 when they fit.
     """
 
     window_length: int
@@ -136,7 +147,9 @@ class TrainingIndex:
         )
         return Decomposition(
             window_length=1,
-            inverse=inverse.reshape(-1).astype(np.int64, copy=False),
+            inverse=inverse.reshape(-1).astype(
+                _inverse_dtype(len(self._stream)), copy=False
+            ),
             counts=counts.astype(np.int64, copy=False),
             first=first.astype(np.int64, copy=False),
         )
@@ -181,7 +194,7 @@ class TrainingIndex:
         )
         starts = np.flatnonzero(boundary)
         group_of_sorted = np.cumsum(boundary) - 1
-        inverse = np.empty(n, dtype=np.int64)
+        inverse = np.empty(n, dtype=_inverse_dtype(n))
         inverse[order] = group_of_sorted
         counts = np.diff(np.append(starts, n)).astype(np.int64, copy=False)
         first = order[starts].astype(np.int64, copy=False)

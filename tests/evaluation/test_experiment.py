@@ -64,3 +64,28 @@ class TestRunPaperExperiment:
         assert result.map_for("stide").detection_fraction() == pytest.approx(
             84 / 112
         )
+
+
+class TestWarmStartOptIn:
+    def test_store_and_telemetry_never_change_the_maps(self, tmp_path):
+        """Only ``warm_start=True`` warm-starts: a store, or a store plus
+        telemetry, leaves every neural-network cell as the plain run's."""
+        from repro.datagen.suite import build_suite
+        from repro.params import scaled_params
+        from repro.runtime import Telemetry
+
+        suite = build_suite(params=scaled_params(12_000, seed=7))
+        detectors = ("neural-network",)
+        plain = run_paper_experiment(suite=suite, detectors=detectors)
+        stored = run_paper_experiment(
+            suite=suite, detectors=detectors, store=tmp_path / "a"
+        )
+        traced = run_paper_experiment(
+            suite=suite,
+            detectors=detectors,
+            store=tmp_path / "b",
+            telemetry=Telemetry(),
+        )
+        expected = list(plain.map_for("neural-network"))
+        assert list(stored.map_for("neural-network")) == expected
+        assert list(traced.map_for("neural-network")) == expected

@@ -2,8 +2,8 @@
 
 Each test injects failures on a seeded
 :class:`~repro.runtime.faults.FaultSchedule` and asserts the sweep
-still produces a map bit-identical to the fault-free serial reference
-— the recovery paths are proven, not assumed.  The module is marked
+still produces a map bit-identical to the fault-free oracle loop of
+``tests/oracle.py`` — the recovery paths are proven, not assumed.  The module is marked
 ``faults`` so CI can run it as a dedicated job under a hard timeout
 (``pytest -m faults``).
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.evaluation.performance_map import build_performance_map
 from repro.exceptions import (
     DetectorConfigurationError,
     SweepAbortedError,
@@ -25,7 +24,8 @@ from repro.runtime import (
     RetryPolicy,
     SweepEngine,
 )
-from repro.runtime.faults import FAULT_KINDS, apply_fault, wrap_factory
+from repro.runtime.faults import FAULT_KINDS, apply_fault
+from tests.oracle import oracle_map
 
 pytestmark = pytest.mark.faults
 
@@ -35,8 +35,8 @@ FAMILY = "stide"
 
 @pytest.fixture(scope="module")
 def reference_map(suite):
-    """The fault-free serial map every faulted sweep must reproduce."""
-    return build_performance_map(FAMILY, suite)
+    """The fault-free oracle map every faulted sweep must reproduce."""
+    return oracle_map(FAMILY, suite)
 
 
 def _assert_identical(actual, reference, suite) -> None:
@@ -100,12 +100,6 @@ class TestFaultSchedule:
         schedule = FaultSchedule(rate=1.0, kinds=("crash",))
         with pytest.raises(TransientTaskError, match="downgraded"):
             apply_fault(schedule, "stide:4", 1)
-
-    def test_wrapped_factory_faults_at_construction(self):
-        schedule = FaultSchedule(rate=1.0, kinds=("raise",))
-        factory = wrap_factory(lambda window_length: window_length, schedule)
-        with pytest.raises(TransientTaskError):
-            factory(5)
 
 
 class TestRaiseRecovery:

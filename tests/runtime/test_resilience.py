@@ -19,6 +19,7 @@ from repro.exceptions import (
 from repro.io import checkpoint_append, checkpoint_load
 from repro.runtime import ResiliencePolicy, RetryPolicy, SweepEngine
 from repro.runtime.resilience import ResilientRunner, SweepTask
+from tests.oracle import oracle_map
 
 
 def _assert_maps_identical(expected, actual, suite) -> None:
@@ -308,7 +309,8 @@ class TestCheckpointIO:
 class TestResilientSweep:
     @pytest.fixture(scope="class")
     def serial_map(self, suite):
-        return build_performance_map("stide", suite)
+        """The oracle loop's map (``tests/oracle.py``)."""
+        return oracle_map("stide", suite)
 
     def test_clean_run_report(self, suite, serial_map):
         engine = SweepEngine(

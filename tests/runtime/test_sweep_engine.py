@@ -1,4 +1,4 @@
-"""Tests for repro.runtime.engine — parallel/sequential equivalence."""
+"""Tests for repro.runtime.engine — engine maps equal the oracle loop's."""
 
 from __future__ import annotations
 
@@ -12,6 +12,8 @@ from repro.evaluation.experiment import run_paper_experiment
 from repro.evaluation.performance_map import build_performance_map
 from repro.exceptions import EvaluationError
 from repro.runtime import MEMOIZED_FAMILIES, SweepEngine, WindowCache
+from repro.runtime.engine import resolve_engine
+from tests.oracle import oracle_map
 
 #: The families sharing the window cache in the tentpole sweep.
 FAMILIES = ("stide", "t-stide", "markov", "lane-brodley")
@@ -28,14 +30,30 @@ def _assert_maps_identical(expected, actual, suite) -> None:
                 anomaly_size, window_length
             ), (
                 f"{expected.detector_name} cell (AS={anomaly_size}, "
-                f"DW={window_length}) differs between serial and engine"
+                f"DW={window_length}) differs between oracle and engine"
             )
 
 
 class TestParallelSequentialEquivalence:
     @pytest.fixture(scope="class")
     def serial_maps(self, suite):
-        return {name: build_performance_map(name, suite) for name in FAMILIES}
+        """The oracle loop's maps (``tests/oracle.py``)."""
+        return {name: oracle_map(name, suite) for name in FAMILIES}
+
+    def test_default_build_performance_map_matches_oracle(
+        self, suite, serial_maps
+    ):
+        for name in FAMILIES:
+            _assert_maps_identical(
+                serial_maps[name], build_performance_map(name, suite), suite
+            )
+
+    def test_default_run_paper_experiment_matches_oracle(
+        self, suite, serial_maps
+    ):
+        result = run_paper_experiment(suite=suite, detectors=FAMILIES)
+        for name in FAMILIES:
+            _assert_maps_identical(serial_maps[name], result.map_for(name), suite)
 
     def test_thread_sweep_matches_serial_cell_for_cell(self, suite, serial_maps):
         engine = SweepEngine(max_workers=4, executor="thread")
@@ -139,3 +157,31 @@ class TestCacheSharing:
         # training-stream artifacts at every window length.
         assert stats.hits > 0
         assert stats.hit_rate > 0.3
+
+
+class TestResolveEngine:
+    def test_default_is_serial_and_cold(self, tmp_path):
+        engine = resolve_engine(store=tmp_path / "s")
+        assert engine.executor == "serial"
+        assert engine.max_workers == 1
+        assert engine.store is not None
+        assert not engine.warm_start_enabled
+
+    def test_workers_pick_the_thread_backend(self):
+        engine = resolve_engine(max_workers=3)
+        assert (engine.executor, engine.max_workers) == ("thread", 3)
+
+    def test_warm_start_only_on_request(self, tmp_path):
+        assert resolve_engine(store=tmp_path / "s", warm_start=True).warm_start_enabled
+        assert not resolve_engine(store=tmp_path / "s", warm_start=None).warm_start_enabled
+
+    def test_given_engine_is_returned_and_adopts_telemetry(self):
+        from repro.runtime import Telemetry
+
+        engine = SweepEngine(executor="serial")
+        collector = Telemetry()
+        assert resolve_engine(engine, max_workers=4, telemetry=collector) is engine
+        assert engine.executor == "serial"  # the engine's own settings govern
+        assert engine.telemetry is collector
+        resolve_engine(engine, telemetry=Telemetry())
+        assert engine.telemetry is collector  # an own collector is kept

@@ -79,6 +79,25 @@ class TestMapsCommand:
         assert "unknown detectors" in capsys.readouterr().err
 
 
+class TestDuplicateDetectors:
+    @pytest.mark.parametrize("command", ["maps", "atlas", "select", "profile"])
+    def test_rejected_before_any_corpus_is_built(
+        self, command, capsys, monkeypatch
+    ):
+        def no_corpus(*args, **kwargs):
+            raise AssertionError("a corpus was built before the check")
+
+        monkeypatch.setattr("repro.cli.generate_training_data", no_corpus)
+        monkeypatch.setattr("repro.evaluation.experiment.build_suite", no_corpus)
+        exit_code = main(
+            [command, *SMALL, "--detectors", "stide", "markov", "stide"]
+        )
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        assert "duplicate detectors: stide" in captured.err
+        assert captured.out == ""
+
+
 class TestAnomalyCommand:
     def test_synthesizes_and_prints(self, capsys):
         exit_code = main(["anomaly", *SMALL, "--size", "5"])
